@@ -510,7 +510,6 @@ BatchKernelNumbers MeasureBatchKernels() {
 struct MlWorkloadNumbers {
   double off_seconds = 0;
   double on_seconds = 0;
-  double noprofiles_seconds = 0;  // ml_index on, ml_profiles off (ablation)
   bool pairs_equal = false;
   uint64_t matched_pairs = 0;
   uint64_t indices_built = 0;
@@ -537,15 +536,13 @@ MlWorkloadNumbers MeasureMlWorkload() {
   }
   DatasetView view = DatasetView::Full(gd->dataset);
 
-  auto best_of_3 = [&](bool ml_index, bool ml_profiles,
-                       std::unique_ptr<MatchContext>* last) {
+  auto best_of_3 = [&](bool ml_index, std::unique_ptr<MatchContext>* last) {
     double best = 0;
     for (int rep = 0; rep < 3; ++rep) {
       gd->registry.ClearCache();
       auto ctx = std::make_unique<MatchContext>(gd->dataset);
       MatchOptions mo;
       mo.ml_index = ml_index;
-      mo.ml_profiles = ml_profiles;
       Timer t;
       MatchReport r = engine::Match(view, rules, gd->registry, mo, ctx.get());
       double secs = t.ElapsedSeconds();
@@ -560,14 +557,10 @@ MlWorkloadNumbers MeasureMlWorkload() {
 
   std::unique_ptr<MatchContext> ctx_off;
   std::unique_ptr<MatchContext> ctx_on;
-  std::unique_ptr<MatchContext> ctx_noprof;
-  out.off_seconds = best_of_3(false, false, &ctx_off);
-  out.on_seconds = best_of_3(true, true, &ctx_on);
-  out.noprofiles_seconds = best_of_3(true, false, &ctx_noprof);
+  out.off_seconds = best_of_3(false, &ctx_off);
+  out.on_seconds = best_of_3(true, &ctx_on);
   out.pairs_equal = ctx_off->MatchedPairs() == ctx_on->MatchedPairs() &&
-                    ctx_off->ValidatedMlKeys() == ctx_on->ValidatedMlKeys() &&
-                    ctx_off->MatchedPairs() == ctx_noprof->MatchedPairs() &&
-                    ctx_off->ValidatedMlKeys() == ctx_noprof->ValidatedMlKeys();
+                    ctx_off->ValidatedMlKeys() == ctx_on->ValidatedMlKeys();
   out.matched_pairs = ctx_on->num_matched_pairs();
   return out;
 }
@@ -630,9 +623,7 @@ RoutingNumbers MeasureRouting() {
   auto run = [&](ThreadPool* pool, std::vector<std::vector<Fact>>* inboxes) {
     double best = 0;
     for (int rep = 0; rep < 3; ++rep) {
-      Master::Options mo;
-      mo.pool = pool;
-      Master master(&hosts, kWorkers, kTuples, mo);
+      Master master(&hosts, kWorkers, kTuples, pool);
       for (int w = 0; w < kWorkers; ++w) master.Collect(w, outboxes[w]);
       Timer t;
       master.Dispatch(inboxes);
@@ -666,16 +657,13 @@ RoutingNumbers MeasureRouting() {
   return out;
 }
 
-// Class-merge-heavy workload for the propagation policy: chains first build
+// Class-merge-heavy workload for equivalence propagation: chains first build
 // blocks of 16 equivalent tuples, then tournament rounds merge ever-larger
-// blocks — exactly the regime where the |Ca| × |Cb| cross product explodes
-// and the |Ca| + |Cb| spanning pairs stay linear.
+// blocks — exactly the regime where a |Ca| × |Cb| cross product would
+// explode and the |Ca| + |Cb| spanning pairs stay linear.
 struct SpanningNumbers {
-  uint64_t spanning_messages = 0;
-  uint64_t crossproduct_messages = 0;
-  uint64_t spanning_bytes = 0;
-  uint64_t crossproduct_bytes = 0;
-  bool eid_equal = false;
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
 };
 
 SpanningNumbers MeasureSpanning() {
@@ -692,39 +680,11 @@ SpanningNumbers MeasureSpanning() {
       facts.push_back(Fact::IdMatch(g, g + size));
     }
   }
-
-  // Class labels normalized to each class's smallest member, so the two
-  // modes' union-finds compare representation-independently.
-  auto canon = [](const UnionFind& uf, uint32_t n) {
-    std::vector<uint32_t> rep(n);
-    std::unordered_map<uint32_t, uint32_t> min_of;
-    for (uint32_t g = 0; g < n; ++g) min_of.emplace(uf.Find(g), g);
-    for (uint32_t g = 0; g < n; ++g) rep[g] = min_of[uf.Find(g)];
-    return rep;
-  };
-
-  SpanningNumbers out;
-  std::vector<uint32_t> eid_spanning;
-  std::vector<uint32_t> eid_cross;
-  for (bool spanning : {true, false}) {
-    Master::Options mo;
-    mo.spanning_pairs = spanning;
-    Master master(&hosts, kWorkers, kTuples, mo);
-    master.Collect(0, facts);
-    std::vector<std::vector<Fact>> inboxes;
-    master.Dispatch(&inboxes);
-    if (spanning) {
-      out.spanning_messages = master.messages_routed();
-      out.spanning_bytes = master.bytes_routed();
-      eid_spanning = canon(master.global_eid(), kTuples);
-    } else {
-      out.crossproduct_messages = master.messages_routed();
-      out.crossproduct_bytes = master.bytes_routed();
-      eid_cross = canon(master.global_eid(), kTuples);
-    }
-  }
-  out.eid_equal = eid_spanning == eid_cross;
-  return out;
+  Master master(&hosts, kWorkers, kTuples);
+  master.Collect(0, facts);
+  std::vector<std::vector<Fact>> inboxes;
+  master.Dispatch(&inboxes);
+  return {master.messages_routed(), master.bytes_routed()};
 }
 
 // --- delta-driven incremental pass -----------------------------------------
@@ -752,8 +712,7 @@ struct IncCascadeRun {
   std::vector<std::pair<Gid, Gid>> pairs;  // Γ's id half, for identity checks
 };
 
-IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
-                            int threads) {
+IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, int threads) {
   IncCascadeRun out;
   for (int rep = 0; rep < 3; ++rep) {
     // Fresh workload per rep: the protocol consumes the engine (H and Γ are
@@ -765,7 +724,6 @@ IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
     EngineOptions eo;
     eo.dependency_capacity = 0;
     eo.threads = threads;
-    eo.inc_parallel = inc_parallel;
     ChaseEngine::Options o =
         ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
     ChaseEngine engine(&view, &w->up_rules, &w->registry, &ctx, o);
@@ -1077,26 +1035,16 @@ ObsOverheadNumbers MeasureObsOverhead(GenDataset& gd) {
 
 // --- Columnar storage numbers (TPC-H dbgen-lite SF 1) ----------------------
 //
-// What the columnar refactor buys, measured on the scale-factor generator's
-// SF 1 instance (~45k tuples): raw column-slice scan vs per-row Value
-// materialization, equality-index build keyed on interned codes (the
-// DatasetIndex path) vs on content-hashed Values (the pre-refactor row-wise
-// build), similarity kernels fed arena string_views vs per-call string
-// copies, and the interning pool's hit rate and footprint. This host has one
-// core, so the absolute times are per-core numbers; the ratios are pure
-// layout effects. EXPERIMENTS.md extrapolates them across SF 1-10.
+// The columnar substrate on the scale-factor generator's SF 1 instance (~45k
+// tuples): equality-index build keyed on interned codes (the DatasetIndex
+// path) and the interning pool's hit rate and footprint. Absolute times are
+// per-core numbers. EXPERIMENTS.md extrapolates them across SF 1-10.
 struct ColumnarNumbers {
   double gen_seconds = 0;
   uint64_t tuples = 0;
   uint64_t grow_events = 0;  // column reallocations during generation
-  double scan_columnar_ns = 0;
-  double scan_rowwise_ns = 0;
   double index_build_columnar_seconds = 0;
-  double index_build_rowwise_seconds = 0;
   uint64_t index_keys = 0;
-  bool index_entries_equal = false;
-  double kernel_view_ns = 0;
-  double kernel_copy_ns = 0;
   double intern_hit_rate = 0;
   uint64_t intern_requests = 0;
   uint64_t intern_strings = 0;
@@ -1133,109 +1081,28 @@ ColumnarNumbers MeasureColumnar() {
           : 0.0;
 
   const Relation* orders = nullptr;
-  const Relation* customer = nullptr;
   for (size_t r = 0; r < d.num_relations(); ++r) {
-    const std::string& name = d.relation(r).schema().name();
-    if (name == "Orders") orders = &d.relation(r);
-    if (name == "Customer") customer = &d.relation(r);
+    if (d.relation(r).schema().name() == "Orders") orders = &d.relation(r);
   }
-  constexpr size_t kPriceAttr = 4;  // Orders.totalprice (kInt)
-  constexpr size_t kCustAttr = 1;   // Orders.custkey (kString join key)
-  constexpr size_t kNameAttr = 1;   // Customer.cname
+  constexpr size_t kCustAttr = 1;  // Orders.custkey (kString join key)
 
-  {
-    // Sum Orders.totalprice: the raw int64 slice vs at()'s Value round-trip.
-    const Column& col = orders->column(kPriceAttr);
-    const std::vector<int64_t>& ints = col.ints();
-    const size_t n = orders->num_rows();
-    constexpr int kScanReps = 200;
-    int64_t sink = 0;
-    Timer t;
-    for (int rep = 0; rep < kScanReps; ++rep) {
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.is_null(i)) sum += ints[i];
+  // Equality index on Orders.custkey: 32-bit intern ids as 64-bit codes,
+  // CodeHash, id==id compares.
+  const size_t n = orders->num_rows();
+  constexpr int kBuildReps = 20;
+  std::unordered_map<uint64_t, std::vector<uint32_t>, CodeHash> code_index;
+  Timer t;
+  for (int rep = 0; rep < kBuildReps; ++rep) {
+    code_index.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (!orders->is_null(i, kCustAttr)) {
+        code_index[orders->code_at(i, kCustAttr)].push_back(
+            static_cast<uint32_t>(i));
       }
-      sink += sum;
     }
-    out.scan_columnar_ns =
-        t.ElapsedSeconds() * 1e9 / (kScanReps * static_cast<double>(n));
-    int64_t sink2 = 0;
-    Timer t2;
-    for (int rep = 0; rep < kScanReps; ++rep) {
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const Value v = orders->at(i, kPriceAttr);
-        if (!v.is_null()) sum += v.AsInt();
-      }
-      sink2 += sum;
-    }
-    out.scan_rowwise_ns =
-        t2.ElapsedSeconds() * 1e9 / (kScanReps * static_cast<double>(n));
-    if (sink != sink2) std::printf("columnar scan mismatch\n");
   }
-
-  {
-    // Equality index on Orders.custkey. Columnar build: 32-bit intern ids as
-    // 64-bit codes, CodeHash, id==id compares. Row-wise build: materialized
-    // Values hashed and compared by string content — the pre-refactor cost.
-    const size_t n = orders->num_rows();
-    constexpr int kBuildReps = 20;
-    std::unordered_map<uint64_t, std::vector<uint32_t>, CodeHash> code_index;
-    Timer t;
-    for (int rep = 0; rep < kBuildReps; ++rep) {
-      code_index.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (!orders->is_null(i, kCustAttr)) {
-          code_index[orders->code_at(i, kCustAttr)].push_back(
-              static_cast<uint32_t>(i));
-        }
-      }
-    }
-    out.index_build_columnar_seconds = t.ElapsedSeconds() / kBuildReps;
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> value_index;
-    Timer t2;
-    for (int rep = 0; rep < kBuildReps; ++rep) {
-      value_index.clear();
-      for (size_t i = 0; i < n; ++i) {
-        const Value v = orders->at(i, kCustAttr);
-        if (!v.is_null()) {
-          value_index[v].push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-    out.index_build_rowwise_seconds = t2.ElapsedSeconds() / kBuildReps;
-    out.index_keys = code_index.size();
-    out.index_entries_equal = code_index.size() == value_index.size();
-  }
-
-  {
-    // EditSimilarity over Customer.cname pairs: zero-copy arena views (the
-    // post-refactor kernel path) vs a per-call owned-string copy of both
-    // sides (what the old Row storage forced on every probe).
-    const size_t n = customer->num_rows();
-    auto name_at = [&](size_t r) {
-      return customer->is_null(r, kNameAttr)
-                 ? std::string_view()
-                 : customer->string_at(r, kNameAttr);
-    };
-    constexpr int kReps = 50'000;
-    double sink = 0;
-    Timer t;
-    for (int i = 0; i < kReps; ++i) {
-      sink += EditSimilarity(name_at(i % n), name_at((i + 7) % n));
-    }
-    out.kernel_view_ns = t.ElapsedSeconds() * 1e9 / kReps;
-    double sink2 = 0;
-    Timer t2;
-    for (int i = 0; i < kReps; ++i) {
-      const std::string a(name_at(i % n));
-      const std::string b(name_at((i + 7) % n));
-      sink2 += EditSimilarity(a, b);
-    }
-    out.kernel_copy_ns = t2.ElapsedSeconds() * 1e9 / kReps;
-    if (sink != sink2) std::printf("kernel view/copy mismatch\n");
-  }
+  out.index_build_columnar_seconds = t.ElapsedSeconds() / kBuildReps;
+  out.index_keys = code_index.size();
   return out;
 }
 
@@ -1259,47 +1126,15 @@ void WriteBenchCoreJson() {
       seq_ctx->MatchedPairs() == pooled_ctx->MatchedPairs() &&
       seq_ctx->ValidatedMlKeys() == pooled_ctx->ValidatedMlKeys();
 
-  // Propagation policy and transport, at the DMatch level: the spanning-pair
-  // run, the cross-product ablation, and a loopback-TCP run must all yield
-  // the same Γ; the message/byte totals quantify what the policy saves on
-  // this workload.
-  auto run_mode = [&](bool spanning, TransportKind kind,
-                      DMatchReport* report) {
-    gd->registry.ClearCache();
-    gd->registry.ResetStats();
-    auto ctx = std::make_unique<MatchContext>(gd->dataset);
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.run_parallel = false;
-    o.spanning_pairs = spanning;
-    o.transport = kind;
-    *report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, ctx.get());
-    return ctx;
-  };
-  DMatchReport span_report;
-  DMatchReport cross_report;
-  DMatchReport tcp_report;
-  auto span_ctx = run_mode(true, TransportKind::kInProcess, &span_report);
-  auto cross_ctx = run_mode(false, TransportKind::kInProcess, &cross_report);
-  auto tcp_ctx = run_mode(true, TransportKind::kLoopbackTcp, &tcp_report);
-  const bool gamma_equal =
-      span_ctx->MatchedPairs() == cross_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == cross_ctx->ValidatedMlKeys();
-  const bool tcp_pairs_equal =
-      span_ctx->MatchedPairs() == tcp_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == tcp_ctx->ValidatedMlKeys();
-
   RoutingNumbers routing = MeasureRouting();
   SpanningNumbers spanning = MeasureSpanning();
 
   // Delta-driven pass: |Δ|-scaling on the tournament cascade (full vs half
-  // leaf set), the sequential-ablation identity, and the update stream.
-  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_half = RunIncCascade(10, 512, /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*inc_parallel=*/false,
-                                        /*threads=*/1);
+  // leaf set), identity of the pooled rounds with the threads=1 per-item
+  // loop, and the update stream.
+  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*threads=*/2);
+  IncCascadeRun inc_half = RunIncCascade(10, 512, /*threads=*/2);
+  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*threads=*/1);
   const bool inc_pairs_equal = inc_full.pairs == inc_seq.pairs;
   UpdateStreamNumbers stream = MeasureUpdateStream();
   ServiceNumbers service = MeasureService();
@@ -1388,7 +1223,6 @@ void WriteBenchCoreJson() {
   w.KV("dmatch_outbox_messages", pooled_report.outbox_messages);
   w.KV("dmatch_outbox_bytes", pooled_report.outbox_bytes);
   w.KV("dmatch_route_seconds", pooled_report.route_seconds);
-  w.KV("transport", pooled_report.transport);
   // Router alone on the exchange-heavy synthetic workload: serial vs pooled
   // wall clock, plus the shard-time speedup (sum/max over destination
   // shards) that models one core per shard — the honest number on hosts
@@ -1416,19 +1250,10 @@ void WriteBenchCoreJson() {
   w.KV("route_messages", routing.messages);
   w.KV("route_bytes", routing.bytes);
   w.KV("route_inboxes_equal", routing.inboxes_equal);
-  // Propagation policy: master-level message/byte volume on the
-  // class-merge-heavy tournament workload, and Γ identity of the two
-  // policies (and the TCP transport) at the DMatch level.
-  w.KV("route_messages_spanning", spanning.spanning_messages);
-  w.KV("route_messages_crossproduct", spanning.crossproduct_messages);
-  w.KV("route_bytes_spanning", spanning.spanning_bytes);
-  w.KV("route_bytes_crossproduct", spanning.crossproduct_bytes);
-  w.KV("route_eid_equal", spanning.eid_equal);
-  w.KV("dmatch_messages_spanning", span_report.messages);
-  w.KV("dmatch_messages_crossproduct", cross_report.messages);
-  w.KV("route_gamma_equal", gamma_equal);
-  w.KV("tcp_transport", tcp_report.transport);
-  w.KV("tcp_pairs_equal", tcp_pairs_equal);
+  // Equivalence propagation: master-level message/byte volume of the
+  // spanning pairs on the class-merge-heavy tournament workload.
+  w.KV("route_messages_spanning", spanning.messages);
+  w.KV("route_bytes_spanning", spanning.bytes);
   // Delta-driven incremental pass (the batched semi-naive IncDeduce).
   // Tournament cascade, cap=0 protocol: per-leaf time at |Δ| = 1024 vs 512
   // leaves is the |Δ|-scaling evidence bench/check_regression gates on.
@@ -1457,8 +1282,8 @@ void WriteBenchCoreJson() {
   // proportional to the dataset rather than the delta.
   w.KV("inc_delta_scaling_ratio",
        inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf : 0.0);
-  // The inc_parallel=false ablation (per-item sequential loop) on the same
-  // full-|Δ| cascade; Γ must be bit-identical.
+  // The threads=1 run (no pool: the per-item loop) on the same full-|Δ|
+  // cascade; Γ must be bit-identical.
   w.KV("inc_seq_seconds", inc_seq.seconds);
   w.KV("inc_seq_seeded_joins", inc_seq.seeded_joins);
   w.KV("inc_pairs_equal", inc_pairs_equal);
@@ -1474,8 +1299,8 @@ void WriteBenchCoreJson() {
   w.KV("inc_speedup_simulated", inc_speedup_simulated);
   if (inc_full.seconds >= inc_seq.seconds && hw < 4) {
     w.KV("inc_speedup_warning",
-         "batched pooled IncDeduce did not beat the sequential ablation on "
-         "this host: " + std::to_string(hw) +
+         "batched pooled IncDeduce did not beat the threads=1 per-item loop "
+         "on this host: " + std::to_string(hw) +
              " hardware thread(s) cannot run the round's chunks in "
              "parallel, so the wall gap is oversubscription artifact; "
              "inc_speedup_simulated is the per-chunk-core number");
@@ -1555,39 +1380,20 @@ void WriteBenchCoreJson() {
        "Customers.name), ecommerce num_customers=300");
   w.KV("ml_workload_off_seconds", ml.off_seconds);
   w.KV("ml_workload_on_seconds", ml.on_seconds);
-  w.KV("ml_workload_noprofiles_seconds", ml.noprofiles_seconds);
   w.KV("ml_index_speedup",
        ml.on_seconds > 0 ? ml.off_seconds / ml.on_seconds : 0.0);
-  w.KV("ml_profiles_speedup",
-       ml.on_seconds > 0 ? ml.noprofiles_seconds / ml.on_seconds : 0.0);
   w.KV("ml_workload_pairs_equal", ml.pairs_equal);
   w.KV("ml_workload_matched_pairs", ml.matched_pairs);
   w.KV("ml_indices_built", ml.indices_built);
-  // Columnar storage / interning numbers at TPC-H SF 1 (single-core host:
-  // absolute times are per-core, ratios are layout effects; see the SF 1-10
-  // roofline table in EXPERIMENTS.md).
+  // Columnar storage / interning numbers at TPC-H SF 1 (absolute times are
+  // per-core; see the SF 1-10 roofline table in EXPERIMENTS.md).
   w.KV("columnar_workload",
        "tpch scale_factor=1 (dbgen-lite row counts, ~45k tuples)");
   w.KV("tpch_sf1_tuples", columnar.tuples);
   w.KV("tpch_sf1_gen_seconds", columnar.gen_seconds);
   w.KV("datagen_grow_events", columnar.grow_events);
-  w.KV("columnar_scan_ns_per_row", columnar.scan_columnar_ns);
-  w.KV("rowwise_scan_ns_per_row", columnar.scan_rowwise_ns);
-  w.KV("columnar_scan_speedup",
-       columnar.scan_columnar_ns > 0
-           ? columnar.scan_rowwise_ns / columnar.scan_columnar_ns
-           : 0.0);
   w.KV("index_build_columnar_seconds", columnar.index_build_columnar_seconds);
-  w.KV("index_build_rowwise_seconds", columnar.index_build_rowwise_seconds);
-  w.KV("index_build_speedup",
-       columnar.index_build_columnar_seconds > 0
-           ? columnar.index_build_rowwise_seconds /
-                 columnar.index_build_columnar_seconds
-           : 0.0);
   w.KV("index_build_keys", columnar.index_keys);
-  w.KV("index_build_entries_equal", columnar.index_entries_equal);
-  w.KV("kernel_probe_view_ns", columnar.kernel_view_ns);
-  w.KV("kernel_probe_copy_ns", columnar.kernel_copy_ns);
   w.KV("intern_hit_rate", columnar.intern_hit_rate);
   w.KV("intern_requests", columnar.intern_requests);
   w.KV("intern_strings", columnar.intern_strings);
@@ -1619,12 +1425,10 @@ void WriteBenchCoreJson() {
                 "executor regression.\n",
                 pool_speedup, hw, pool_threads);
   }
-  std::printf("ML workload: off=%.4fs on=%.4fs noprofiles=%.4fs "
-              "speedup=%.2fx profiles_speedup=%.2fx pairs_equal=%d "
+  std::printf("ML workload: off=%.4fs on=%.4fs speedup=%.2fx pairs_equal=%d "
               "indices_built=%llu\n",
-              ml.off_seconds, ml.on_seconds, ml.noprofiles_seconds,
+              ml.off_seconds, ml.on_seconds,
               ml.on_seconds > 0 ? ml.off_seconds / ml.on_seconds : 0.0,
-              ml.on_seconds > 0 ? ml.noprofiles_seconds / ml.on_seconds : 0.0,
               ml.pairs_equal,
               static_cast<unsigned long long>(ml.indices_built));
   std::printf("batch kernels (%s, batch 256): token_jaccard %.1f -> %.1f "
@@ -1646,18 +1450,12 @@ void WriteBenchCoreJson() {
               route_speedup_simulated, routing.inboxes_equal,
               static_cast<unsigned long long>(routing.messages),
               static_cast<unsigned long long>(routing.bytes));
-  std::printf("propagation: spanning=%llu msgs (%llu B) crossproduct=%llu "
-              "msgs (%llu B) eid_equal=%d gamma_equal=%d\n",
-              static_cast<unsigned long long>(spanning.spanning_messages),
-              static_cast<unsigned long long>(spanning.spanning_bytes),
-              static_cast<unsigned long long>(spanning.crossproduct_messages),
-              static_cast<unsigned long long>(spanning.crossproduct_bytes),
-              spanning.eid_equal, gamma_equal);
-  std::printf("transport: dmatch over %s, pairs_equal=%d\n",
-              tcp_report.transport, tcp_pairs_equal);
+  std::printf("propagation: spanning=%llu msgs (%llu B)\n",
+              static_cast<unsigned long long>(spanning.messages),
+              static_cast<unsigned long long>(spanning.bytes));
   std::printf("inc cascade: full(%zu leaves)=%.4fs half(%zu)=%.4fs "
               "per-leaf ratio=%.2f seeded=%llu rounds=%llu "
-              "simulated_speedup=%.2fx pairs_equal(par,seq)=%d\n",
+              "simulated_speedup=%.2fx pairs_equal(threads 2,1)=%d\n",
               inc_full.leaves, inc_full.seconds, inc_half.leaves,
               inc_half.seconds,
               inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf
@@ -1678,17 +1476,12 @@ void WriteBenchCoreJson() {
               service.p99_seconds * 1e6, service.mean_lag_seconds,
               service.max_lag_seconds, service.ack_implies_visible);
   std::printf("columnar (tpch SF1, %llu tuples, gen=%.3fs, grow_events=%llu):"
-              " scan %.2f vs %.2f ns/row, index build %.4f vs %.4f s "
-              "(%llu keys, equal=%d), kernel %.1f vs %.1f ns\n",
+              " index build %.4f s (%llu keys)\n",
               static_cast<unsigned long long>(columnar.tuples),
               columnar.gen_seconds,
               static_cast<unsigned long long>(columnar.grow_events),
-              columnar.scan_columnar_ns, columnar.scan_rowwise_ns,
               columnar.index_build_columnar_seconds,
-              columnar.index_build_rowwise_seconds,
-              static_cast<unsigned long long>(columnar.index_keys),
-              columnar.index_entries_equal, columnar.kernel_view_ns,
-              columnar.kernel_copy_ns);
+              static_cast<unsigned long long>(columnar.index_keys));
   std::printf("interning: hit_rate=%.3f strings=%llu arena=%llu B "
               "requested=%llu B footprint_ratio=%.3f\n",
               columnar.intern_hit_rate,

@@ -15,10 +15,8 @@ ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
   Options o;
   o.dependency_capacity = eo.dependency_capacity;
   o.share_indices = eo.use_mqo;
-  o.inc_parallel = eo.inc_parallel;
   o.ml_index = eo.ml_index;
   o.ml_index_approx = eo.ml_index_approx;
-  o.ml_profiles = eo.ml_profiles;
   if (eo.threads > 1 && pool != nullptr) {
     o.pool = pool;
     o.enumeration_shards = eo.threads * 2;
@@ -69,15 +67,14 @@ ChaseEngine::ChaseEngine(
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
   }
-  // Profiles pay off only when some rule actually scores strings; gating on
-  // that keeps ML-free workloads free of the build cost.
+  // String profiles (ml/profile.h) pay off only when some rule actually
+  // scores strings; gating on that keeps ML-free workloads free of the
+  // build cost.
   bool want_profiles = false;
-  if (options_.ml_profiles) {
-    for (size_t i = 0; i < rules_->size(); ++i) {
-      if (rules_->rule(i).HasMlPredicate()) {
-        want_profiles = true;
-        break;
-      }
+  for (size_t i = 0; i < rules_->size(); ++i) {
+    if (rules_->rule(i).HasMlPredicate()) {
+      want_profiles = true;
+      break;
     }
   }
   scopes_.resize(rules_->size());
@@ -516,14 +513,13 @@ void ChaseEngine::BuildIncRoundTasks() {
 void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
   if (inc_tasks_.empty()) return;
 
-  const bool pooled =
-      options_.inc_parallel && options_.pool != nullptr &&
-      options_.enumeration_shards > 1 &&
-      inc_tasks_.size() >= options_.min_parallel_inc_tasks;
+  const bool pooled = options_.pool != nullptr &&
+                      options_.enumeration_shards > 1 &&
+                      inc_tasks_.size() >= options_.min_parallel_inc_tasks;
   if (!pooled) {
     // Per-task enumeration with immediate application, in the same
-    // (rule, scope, item-order) the merge below replays. Serves both the
-    // inc_parallel=false ablation and rounds too small to be worth forking.
+    // (rule, scope, item-order) the merge below replays. Serves engines
+    // without a pool and rounds too small to be worth forking.
     Timer round_timer;
     for (const IncTask& t : inc_tasks_) {
       RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();

@@ -51,15 +51,11 @@ class ChaseEngine {
     /// Additionally allow approximate (LSH) indices for classifiers without
     /// a sound filter (embedding cosine). May lose recall; off by default.
     bool ml_index_approx = false;
-    /// Precomputed string profiles + batch similarity kernels
-    /// (EngineOptions::ml_profiles). Bit-identical results either way.
-    bool ml_profiles = true;
-    /// Batched semi-naive IncDeduce (see EngineOptions::inc_parallel): each
-    /// round's re-joins are recorded against a frozen snapshot and merged in
-    /// (rule, scope, item-order); rounds with at least
-    /// `min_parallel_inc_tasks` re-joins fan the recording out on `pool`.
-    /// false = the per-item sequential loop (ablation); identical results.
-    bool inc_parallel = true;
+    /// Batched semi-naive IncDeduce: a round with at least
+    /// `min_parallel_inc_tasks` re-joins (and a `pool`) records them on the
+    /// pool against a frozen snapshot and merges in (rule, scope,
+    /// item-order); smaller rounds, or no pool, run the per-item loop in
+    /// the same order. Identical results either way.
     size_t min_parallel_inc_tasks = 32;
   };
 
@@ -187,11 +183,11 @@ class ChaseEngine {
   // orientation matching).
   void BuildIncRoundTasks();
   // Runs inc_tasks_ (grouped by (rule, scope)) and appends everything newly
-  // derived to *round_out. inc_parallel: record on the pool against the
-  // frozen context, then merge sequentially re-checking recorded unsat
-  // entries; ablation: enumerate each task inline with immediate
-  // application. Both orders are (rule, scope, item-order), so results and
-  // stats are identical (see DESIGN.md "Delta-driven fixpoint").
+  // derived to *round_out. Pooled: record on the pool against the frozen
+  // context, then merge sequentially re-checking recorded unsat entries;
+  // otherwise enumerate each task inline with immediate application. Both
+  // orders are (rule, scope, item-order), so results and stats are
+  // identical (see DESIGN.md "Delta-driven fixpoint").
   void ExecuteIncRoundTasks(Delta* round_out);
 
   const DatasetView* view_;

@@ -82,14 +82,6 @@ const DatasetIndex::AttrIndex& DatasetIndex::GetOrBuild(size_t rel,
   return *pos->second;
 }
 
-void DatasetIndex::EnsureProfiles() {
-  if (profile_store_ == nullptr) {
-    profile_store_ =
-        std::make_shared<ProfileStore>(&view_->dataset().pool());
-  }
-  profile_store_->Sync();
-}
-
 void DatasetIndex::AttachProfiles(std::shared_ptr<ProfileStore> store) {
   profile_store_ = std::move(store);
   if (profile_store_ != nullptr) profile_store_->Sync();

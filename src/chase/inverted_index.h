@@ -63,15 +63,12 @@ class DatasetIndex {
   /// any ML index Add so profiled indices can read the new row's profile.
   void NotifyAppend(size_t rel, uint32_t row);
 
-  /// Opts this index into the vectorized similarity engine: builds (or
-  /// syncs) a ProfileStore shadowing the dataset's string pool. Idempotent;
-  /// exclusive phases only (same contract as EnsureBuilt). Until called,
+  /// Opts this index into the vectorized similarity engine with a
+  /// ProfileStore shadowing the dataset's string pool, shared rather than
+  /// built per index (profiles are a function of the dataset's pool alone,
+  /// so every block index of one engine can alias a single store). Syncs
+  /// it; exclusive phases only (same contract as EnsureBuilt). Until called,
   /// profiles() is nullptr and every ML path stays on the text kernels.
-  void EnsureProfiles();
-
-  /// Shares an existing store instead of building one (profiles are a
-  /// function of the dataset's pool alone, so every block index of one
-  /// engine can alias a single store). Syncs it.
   void AttachProfiles(std::shared_ptr<ProfileStore> store);
 
   /// The dataset-wide profile store, or nullptr when disabled — the single

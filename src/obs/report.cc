@@ -23,6 +23,25 @@ ChaseStats& ChaseStats::operator+=(const ChaseStats& o) {
   return *this;
 }
 
+ChaseStats& ChaseStats::operator-=(const ChaseStats& o) {
+  valuations -= o.valuations;
+  matches -= o.matches;
+  validated_ml -= o.validated_ml;
+  deps_added -= o.deps_added;
+  deps_dropped -= o.deps_dropped;
+  deps_fired -= o.deps_fired;
+  seeded_joins -= o.seeded_joins;
+  indices_built -= o.indices_built;
+  ml_indices_built -= o.ml_indices_built;
+  join_candidates -= o.join_candidates;
+  ml_probes -= o.ml_probes;
+  ml_probe_candidates -= o.ml_probe_candidates;
+  inc_rounds -= o.inc_rounds;
+  inc_frontier_items -= o.inc_frontier_items;
+  inc_dedup_hits -= o.inc_dedup_hits;
+  return *this;
+}
+
 void ChaseStats::AppendJson(JsonWriter* w) const {
   w->BeginObject();
   w->KV("valuations", valuations);

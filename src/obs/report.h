@@ -37,6 +37,9 @@ struct ChaseStats {
                                 // with inc_frontier_items: cascade redundancy
 
   ChaseStats& operator+=(const ChaseStats& o);
+  /// Field-wise difference; `o` must be an earlier reading of the same
+  /// running counters (per-call reports subtract the value before the call).
+  ChaseStats& operator-=(const ChaseStats& o);
 
   /// Appends the stats as one JSON object value.
   void AppendJson(JsonWriter* w) const;

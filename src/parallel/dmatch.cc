@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/master.h"
-#include "parallel/transport.h"
 #include "parallel/wire.h"
 #include "parallel/worker.h"
 
@@ -62,7 +61,6 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("bytes", bytes);
   w->KV("outbox_messages", outbox_messages);
   w->KV("outbox_bytes", outbox_bytes);
-  w->KV("transport", transport);
   w->KV("partition_seconds", partition_seconds);
   w->KV("er_seconds", er_seconds);
   w->KV("simulated_seconds", simulated_seconds);
@@ -120,14 +118,8 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
         std::move(partition.rule_views[w]), &rules, &registry,
         engine_options));
   }
-  std::unique_ptr<Transport> transport =
-      Transport::Create(options.transport, options.num_workers);
-  Master::Options master_options;
-  master_options.spanning_pairs = options.spanning_pairs;
-  master_options.pool = options.run_parallel ? &pool : nullptr;
-  master_options.transport = transport.get();
   Master master(&partition.hosts, options.num_workers, dataset.num_tuples(),
-                master_options);
+                options.run_parallel ? &pool : nullptr);
 
   // Runs one superstep and records its per-worker times and skew. The
   // messages/bytes the master routes afterwards are filled in by the
@@ -159,10 +151,10 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     return slowest;
   };
 
-  // Collects every worker's outbox through the wire: encode, send the
-  // batch over the transport, and let the master receive + decode it.
-  // The collect-side wire volume is charged to the superstep whose stats
-  // entry is current (the step that produced the outboxes).
+  // Collects every worker's outbox through the wire: encode the batch and
+  // let the master decode it. The collect-side wire volume is charged to
+  // the superstep whose stats entry is current (the step that produced the
+  // outboxes).
   auto exchange_outboxes = [&] {
     const uint64_t msgs_before = master.outbox_messages();
     const uint64_t bytes_before = master.outbox_bytes();
@@ -170,8 +162,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
       std::vector<Fact> out = w->TakeOutbox();
       std::vector<uint8_t> bytes;
       if (!out.empty()) wire::EncodeFactBatch(out, &bytes);
-      transport->SendToMaster(w->id(), std::move(bytes));
-      master.CollectFromWorker(w->id());
+      master.CollectEncoded(w->id(), bytes);
     }
     SuperstepStats& ss = report.superstep_stats.back();
     ss.outbox_messages = master.outbox_messages() - msgs_before;
@@ -207,9 +198,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   report.outbox_bytes = master.outbox_bytes();
   report.route_seconds = master.route_seconds();
   report.route_simulated_seconds = master.route_shard_max_seconds();
-  report.transport = transport->kind() == TransportKind::kLoopbackTcp
-                         ? "loopback_tcp"
-                         : "in_process";
   report.matched_pairs = result->num_matched_pairs();
   report.validated_ml = result->num_validated_ml();
   report.ml_predictions = registry.num_predictions() - preds_before;

@@ -227,7 +227,7 @@ size_t EncodeTupleBlock(const Relation& rel, const std::vector<uint32_t>& rows,
 /// column types as the encoded relation. Strings are re-interned into dst's
 /// pool; original gids are preserved. Returns a typed error on malformed
 /// input or a column-type mismatch (dst is then left partially appended —
-/// callers treat that as a fatal transport error).
+/// callers treat that as a fatal decode error).
 WireError DecodeTupleBlock(const uint8_t* data, size_t size, Relation* dst);
 
 inline WireError DecodeTupleBlock(const std::vector<uint8_t>& bytes,

@@ -45,6 +45,10 @@ class ResolverClient {
   // (reusing the calling thread's trace_id when one is installed, minting a
   // fresh one otherwise) — the daemon scopes its work under the same ids, so
   // DCER_TRACE_FILE yields one stitched Chrome trace per request.
+  //
+  // Append's resp->gids are in relation-grouped block order (ascending
+  // relation index, `rows` order within a relation; see MakeAppendRequest),
+  // not in `rows` order when relations interleave.
   Status Append(const Dataset& schema_source,
                 const std::vector<std::pair<uint32_t, Row>>& rows,
                 Response* resp);

@@ -15,8 +15,8 @@ namespace dcer {
 namespace service {
 
 /// The dcerd request/response protocol: one frame per message, carried over
-/// the same u32-LE length-prefixed stream framing the loopback transport
-/// uses, with every frame starting in the shared wire header
+/// a TCP stream in u32-LE length-prefixed frames, with every frame starting
+/// in the shared wire header
 /// ([magic][version][tag], see parallel/wire.h). APPEND payloads embed the
 /// columnar tuple-block codec — the ingest plane reuses the data plane's
 /// format byte for byte.
@@ -41,7 +41,8 @@ namespace service {
 ///   METRICS   (empty; v3+)
 ///
 ///   APPENDED  varint snapshot_version, varint n, first gid varint then
-///             zigzag deltas (batch order)
+///             zigzag deltas (block order: the request's blocks in
+///             sequence, rows in order within each block)
 ///   ENTITY    varint snapshot_version, varint n, first gid varint then
 ///             zigzag deltas (sorted members)
 ///   BOOL      varint snapshot_version, one byte 0/1
@@ -103,9 +104,11 @@ inline wire::WireError DecodeResponse(const std::vector<uint8_t>& bytes,
 
 /// Builds an APPEND request from materialized rows: groups rows by
 /// destination relation, stages each group in a scratch relation sharing
-/// `schema_source`'s column layout, and encodes one tuple block per group.
-/// The staged gids are placeholders — the server assigns authoritative gids
-/// on ingest and returns them in the APPENDED reply.
+/// `schema_source`'s column layout, and encodes one tuple block per group,
+/// in ascending relation index. The staged gids are placeholders — the
+/// server assigns authoritative gids on ingest and returns them in the
+/// APPENDED reply in that relation-grouped block order, which differs from
+/// `rows` order whenever rows of several relations interleave.
 Request MakeAppendRequest(
     const Dataset& schema_source,
     const std::vector<std::pair<uint32_t, Row>>& rows);

@@ -32,7 +32,6 @@ DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
   dmo.num_workers = options.num_workers;
   dmo.use_virtual_blocks = options.use_virtual_blocks;
   dmo.run_parallel = options.run_parallel;
-  dmo.spanning_pairs = options.spanning_pairs;
   return dmo;
 }
 
@@ -45,11 +44,11 @@ void Resolver::RunOpenFixpoint() {
     // The incremental engine (and its dependency store) is built lazily on
     // the first Append; queries only need the published snapshot.
   } else {
-    EnsureEngine();
-    Delta delta;
-    engine_->Deduce(&delta);
-    open_match_report_ =
-        std::make_unique<MatchReport>(RunToFixpoint(std::move(delta)));
+    open_match_report_ = std::make_unique<MatchReport>(RunToFixpoint(
+        [this](Delta* delta) {
+          EnsureEngine();
+          engine_->Deduce(delta);
+        }));
   }
   Publish();
 }
@@ -86,33 +85,28 @@ void Resolver::EnsureEngine() {
       ChaseEngine::FromEngineOptions(options_, &ThreadPool::Global()));
 }
 
-MatchReport Resolver::RunToFixpoint(Delta delta) {
+MatchReport Resolver::RunToFixpoint(
+    const std::function<void(Delta*)>& seed) {
   Timer timer;
-  MatchReport report;
+  const uint64_t preds_before = registry_->num_predictions();
+  const uint64_t hits_before = registry_->num_cache_hits();
+  Delta delta;
+  seed(&delta);
   // IncDeduce cascades internally until a round derives nothing, so one
   // call reaches the fixpoint.
   Delta rest;
   engine_->IncDeduce(delta, &rest);
-  // Per-call stats: difference against the engine's running counters.
-  ChaseStats now = engine_->stats();
+  MatchReport report;
+  const ChaseStats now = engine_->stats();
   report.chase = now;
-  report.chase.valuations -= stats_before_.valuations;
-  report.chase.matches -= stats_before_.matches;
-  report.chase.validated_ml -= stats_before_.validated_ml;
-  report.chase.deps_added -= stats_before_.deps_added;
-  report.chase.deps_fired -= stats_before_.deps_fired;
-  report.chase.seeded_joins -= stats_before_.seeded_joins;
-  report.chase.join_candidates -= stats_before_.join_candidates;
-  report.chase.ml_probes -= stats_before_.ml_probes;
-  report.chase.ml_probe_candidates -= stats_before_.ml_probe_candidates;
-  report.chase.inc_rounds -= stats_before_.inc_rounds;
-  report.chase.inc_frontier_items -= stats_before_.inc_frontier_items;
-  report.chase.inc_dedup_hits -= stats_before_.inc_dedup_hits;
-  report.rounds = 1 + static_cast<int>(report.chase.inc_rounds);
+  report.chase -= stats_before_;
   stats_before_ = now;
+  report.rounds = 1 + static_cast<int>(report.chase.inc_rounds);
   report.seconds = timer.ElapsedSeconds();
   report.matched_pairs = ctx_->num_matched_pairs();
   report.validated_ml = ctx_->num_validated_ml();
+  report.ml_predictions = registry_->num_predictions() - preds_before;
+  report.ml_cache_hits = registry_->num_cache_hits() - hits_before;
   return report;
 }
 
@@ -163,9 +157,8 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
   ctx_->GrowToDataset();
   for (Gid gid : out.gids) view_->Append(gid);
   engine_->NotifyAppend(out.gids);
-  Delta delta;
-  engine_->DeduceForNewTuples(out.gids, &delta);
-  out.report = RunToFixpoint(std::move(delta));
+  out.report = RunToFixpoint(
+      [&](Delta* delta) { engine_->DeduceForNewTuples(out.gids, delta); });
 
   Publish();
   out.snapshot_version = version_;

@@ -1,6 +1,7 @@
 #ifndef DCER_SERVICE_RESOLVER_H_
 #define DCER_SERVICE_RESOLVER_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -13,18 +14,17 @@ namespace dcer {
 
 /// Knobs of an open resolver. The EngineOptions base carries everything the
 /// chase itself understands (dependency capacity, MQO, intra-chase threads,
-/// ML indices, incremental batching, transport); the fields here select the
-/// execution strategy around it. With `num_workers == 0` the initial
-/// fixpoint runs the sequential chase in-process; with `num_workers > 0` it
-/// runs the BSP DMatch (HyPart partitioning, supersteps, master routing) and
-/// later appends fall back to the in-process incremental engine.
+/// ML indices); the fields here select the execution strategy around it.
+/// With `num_workers == 0` the initial fixpoint runs the sequential chase
+/// in-process; with `num_workers > 0` it runs the BSP DMatch (HyPart
+/// partitioning, supersteps, master routing) and later appends fall back to
+/// the in-process incremental engine.
 struct ResolverOptions : EngineOptions {
   /// 0 = sequential initial chase; > 0 = DMatch with that many BSP workers.
   int num_workers = 0;
   /// DMatch passthroughs (ignored when num_workers == 0); see DMatchOptions.
   bool use_virtual_blocks = true;
   bool run_parallel = true;
-  bool spanning_pairs = true;
   /// Record rule/fact provenance in the match context (sequential opens).
   bool enable_provenance = false;
 };
@@ -143,7 +143,11 @@ class Resolver {
   /// re-seeds one with a full Deduce over the already-complete context
   /// (derives nothing new — Prop. 4/8 — but records every dependency).
   void EnsureEngine();
-  MatchReport RunToFixpoint(Delta delta);
+  /// Runs `seed` (the full Deduce or the pass over new tuples) and then
+  /// IncDeduce to the fixpoint. The report covers this call alone: timed
+  /// from `seed` on, chase stats and registry prediction/cache counters as
+  /// differences against their values before it.
+  MatchReport RunToFixpoint(const std::function<void(Delta*)>& seed);
   void Publish();
 
   ResolverOptions options_;

@@ -127,7 +127,11 @@ TEST(StringPoolTest, ConcurrentReadersSeePublishedStrings) {
   std::atomic<uint64_t> validated{0};
   auto reader = [&]() {
     uint64_t seen = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    // A reader scheduled only after the writer finished still makes one
+    // full pass: `done` is read before the pass, so the loop always ends
+    // with a pass over everything published.
+    for (;;) {
+      const bool last = done.load(std::memory_order_acquire);
       const uint32_t published = static_cast<uint32_t>(pool.size());
       for (uint32_t id = 0; id < published; ++id) {
         std::string_view v = pool.view(id);
@@ -145,6 +149,7 @@ TEST(StringPoolTest, ConcurrentReadersSeePublishedStrings) {
           return;
         }
       }
+      if (last) break;
     }
     validated.fetch_add(seen, std::memory_order_relaxed);
   };

@@ -2,8 +2,10 @@
 
 #include "chase/match.h"
 #include "chase/soft_match.h"
+#include "common/timer.h"
 #include "datagen/ecommerce.h"
 #include "datagen/paper_example.h"
+#include "obs/json.h"
 #include "rules/parser.h"
 #include "service/resolver.h"
 
@@ -125,6 +127,80 @@ TEST(IncrementalTest, UpdateDrivenCostIsBelowRechaseCost) {
   AppendOutcome delta = resolver->Append(std::move(batch));
   // The batch inspects far fewer valuations than the initial chase.
   EXPECT_LT(delta.report.chase.valuations, init.chase.valuations / 4);
+}
+
+// Per-call reports of a sequential resolver: the open is timed from its
+// Deduce on, ML counters are the registry's differences over the call, and
+// every chase counter is a difference against the previous call — so an
+// empty append reports all zeros even after an open that dropped
+// dependencies and built indices.
+TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
+  EcommerceOptions options;
+  options.num_customers = 150;
+  auto gd = MakeEcommerce(options);
+  const size_t cut = gd->dataset.num_tuples() - 10;
+  auto open = [&](size_t capacity) {
+    Dataset dst;
+    for (size_t r = 0; r < gd->dataset.num_relations(); ++r) {
+      dst.AddRelation(gd->dataset.relation(r).schema());
+    }
+    RuleSet rules;
+    EXPECT_TRUE(ParseRuleSet(gd->rules.ToString(gd->dataset), dst,
+                             gd->registry, &rules)
+                    .ok());
+    for (Gid g = 0; g < cut; ++g) {
+      TupleLoc loc = gd->dataset.loc(g);
+      dst.AppendTuple(loc.relation,
+                      gd->dataset.relation(loc.relation).row(loc.row));
+    }
+    gd->registry.ClearCache();
+    ResolverOptions ro;
+    ro.dependency_capacity = capacity;
+    return Resolver::Open(std::move(dst), std::move(rules), &gd->registry,
+                          ro);
+  };
+  auto held_back = [&] {
+    TupleBatch batch;
+    for (Gid g = static_cast<Gid>(cut); g < gd->dataset.num_tuples(); ++g) {
+      TupleLoc loc = gd->dataset.loc(g);
+      batch.Add(loc.relation, gd->dataset.relation(loc.relation).row(loc.row));
+    }
+    return batch;
+  };
+  const MlRegistry& registry = gd->registry;
+
+  // Default capacity: H never drops, so IncDeduce returns at once and the
+  // open's time is the Deduce pass itself.
+  uint64_t preds = registry.num_predictions();
+  uint64_t hits = registry.num_cache_hits();
+  Timer wall;
+  auto resolver = open(size_t{1} << 20);
+  const double open_wall = wall.ElapsedSeconds();
+  const MatchReport& init = *resolver->match_report();
+  EXPECT_GE(init.seconds, 0.5 * open_wall);
+  EXPECT_GT(init.ml_predictions, 0u);
+  EXPECT_EQ(init.ml_predictions, registry.num_predictions() - preds);
+  EXPECT_EQ(init.ml_cache_hits, registry.num_cache_hits() - hits);
+  preds = registry.num_predictions();
+  hits = registry.num_cache_hits();
+  AppendOutcome grown = resolver->Append(held_back());
+  EXPECT_GT(grown.report.seconds, 0.0);
+  EXPECT_EQ(grown.report.ml_predictions, registry.num_predictions() - preds);
+  EXPECT_EQ(grown.report.ml_cache_hits, registry.num_cache_hits() - hits);
+
+  // A tiny H drops dependencies during the open.
+  resolver = open(64);
+  EXPECT_GT(resolver->match_report()->chase.deps_dropped, 0u);
+  EXPECT_GT(resolver->match_report()->chase.indices_built, 0u);
+  resolver->Append(held_back());
+  AppendOutcome empty = resolver->Append(TupleBatch{});
+  JsonWriter got;
+  empty.report.chase.AppendJson(&got);
+  JsonWriter zero;
+  ChaseStats{}.AppendJson(&zero);
+  EXPECT_EQ(got.str(), zero.str());
+  EXPECT_EQ(empty.report.ml_predictions, 0u);
+  EXPECT_EQ(empty.report.ml_cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

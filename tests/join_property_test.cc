@@ -17,8 +17,7 @@ namespace {
 using Binding = std::vector<uint32_t>;
 using Found = std::set<std::pair<Binding, std::vector<int>>>;
 
-Found BruteForce(const Dataset& d, const Rule& rule,
-                 const MlRegistry& registry, const MatchContext& ctx) {
+Found BruteForce(const Dataset& d, const Rule& rule, const MatchContext& ctx) {
   Found out;
   std::vector<uint32_t> rows(rule.num_vars(), 0);
   std::vector<size_t> sizes(rule.num_vars());
@@ -139,7 +138,7 @@ TEST_P(JoinPropertyTest, EnumerationMatchesBruteForce) {
           << "duplicate valuation in " << rule.name();
       return true;
     });
-    Found expected = BruteForce(fx->d, rule, fx->registry, ctx);
+    Found expected = BruteForce(fx->d, rule, ctx);
     EXPECT_EQ(found, expected) << rule.name() << " seed " << GetParam();
   }
 }

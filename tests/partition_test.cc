@@ -78,7 +78,9 @@ TEST(MqoTest, SharedPredicatesShareHashFunctions) {
   for (const RulePlan& rp : with.rules) {
     for (size_t d = 0; d < rp.dims.size(); ++d) {
       EXPECT_GE(rp.dims[d].hash_fn, 0);
-      if (d > 0) EXPECT_LE(rp.dims[d - 1].hash_fn, rp.dims[d].hash_fn);
+      if (d > 0) {
+        EXPECT_LE(rp.dims[d - 1].hash_fn, rp.dims[d].hash_fn);
+      }
     }
   }
 }

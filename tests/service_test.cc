@@ -407,6 +407,43 @@ TEST(DaemonTest, ServesQueriesWhileAppendsStream) {
   fx.daemon->Stop();
 }
 
+// APPENDED gids follow the request's block order, not the caller's row
+// order: MakeAppendRequest groups rows by relation (ascending relation
+// index, request order within a relation), and the daemon assigns gids
+// block by block.
+TEST(DaemonTest, AppendedGidsFollowRelationGroupedBlockOrder) {
+  DaemonFixture fx(40, 8);
+  ResolverClient client;
+  ASSERT_TRUE(client.Connect(fx.daemon->port()).ok());
+  const Dataset& source = fx.gd->dataset;
+  ASSERT_GE(source.num_relations(), 2u);
+  auto row_of = [&](uint32_t rel, uint32_t r) {
+    const Relation& relation = source.relation(rel);
+    return Row(relation.row(relation.num_rows() - 1 - r));
+  };
+  // Rows of relations 1 and 0, interleaved starting with relation 1.
+  const std::vector<std::pair<uint32_t, Row>> rows = {
+      {1, row_of(1, 0)}, {0, row_of(0, 0)}, {1, row_of(1, 1)},
+      {0, row_of(0, 1)}};
+  const std::vector<std::pair<uint32_t, Row>> block_order = {
+      rows[1], rows[3], rows[0], rows[2]};
+
+  const Dataset& grown = fx.daemon->resolver().dataset();
+  const Gid first = static_cast<Gid>(grown.num_tuples());
+  Response resp;
+  ASSERT_TRUE(client.Append(grown, rows, &resp).ok());
+  ASSERT_EQ(resp.gids, (std::vector<Gid>{first, first + 1, first + 2,
+                                         first + 3}));
+  for (size_t k = 0; k < block_order.size(); ++k) {
+    const TupleLoc loc = grown.loc(resp.gids[k]);
+    EXPECT_EQ(loc.relation, block_order[k].first) << "gid #" << k;
+    EXPECT_EQ(Row(grown.relation(loc.relation).row(loc.row)),
+              block_order[k].second)
+        << "gid #" << k;
+  }
+  fx.daemon->Stop();
+}
+
 TEST(DaemonTest, ForeignVersionFrameGetsTypedErrorAndConnectionSurvives) {
   DaemonFixture fx(40, 8);
   ResolverClient client;

@@ -11,8 +11,8 @@
 //    booleans of the pairwise kernels in ml/similarity.h, at every tier;
 //  - EditPassBound exactly characterizes the double predicate
 //    1 - d/m >= t it replaces, including at rounding boundaries;
-//  - the golden-Γ ecommerce workload is bit-identical with profiles on/off
-//    and across dispatch tiers.
+//  - the golden-Γ ecommerce workload, scored through profiles, keeps its
+//    pre-profile hash at every dispatch tier.
 
 #include <algorithm>
 #include <cmath>
@@ -523,26 +523,23 @@ TEST(GoldenGammaProfiles, EcommerceInvariantUnderProfilesAndTiers) {
   auto gd = MakeEcommerce(o);
   ASSERT_EQ(gd->dataset.num_tuples(), 448u);
 
-  auto run = [&](bool profiles) {
+  auto run = [&] {
     DatasetView view = DatasetView::Full(gd->dataset);
     MatchContext ctx(gd->dataset);
-    MatchOptions options;
-    options.ml_profiles = profiles;
-    engine::Match(view, gd->rules, gd->registry, options, &ctx);
+    engine::Match(view, gd->rules, gd->registry, {}, &ctx);
     auto matched = ctx.MatchedPairs();
-    EXPECT_EQ(matched.size(), 76u) << "profiles=" << profiles;
+    EXPECT_EQ(matched.size(), 76u);
     return PairsHash(std::move(matched));
   };
 
+  // The batch path over attached profiles, at whatever tier the environment
+  // resolves (the scalar lane pins DCER_SIMD=0), then explicitly at each
+  // executable tier.
   const uint64_t kWant = 0xa90aab7af0dfad94ULL;
-  // Off = the pre-profile per-pair engine; on = the batch path at whatever
-  // tier the environment resolves (the scalar lane pins DCER_SIMD=0).
-  EXPECT_EQ(run(false), kWant);
-  EXPECT_EQ(run(true), kWant);
-  // And explicitly at each executable tier.
+  EXPECT_EQ(run(), kWant);
   for (simd::Level level : TestableLevels()) {
     LevelOverride guard(level);
-    EXPECT_EQ(run(true), kWant) << "tier " << simd::LevelName(level);
+    EXPECT_EQ(run(), kWant) << "tier " << simd::LevelName(level);
   }
 }
 
