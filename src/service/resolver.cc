@@ -133,18 +133,12 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
     return out;
   }
   std::lock_guard<std::mutex> lock(append_mu_);
-  // A DMatch open defers this: the full Deduce over the already-complete
-  // context derives nothing new but seeds the dependency store, after which
-  // appends are |Δ|-proportional.
-  const bool first_engine_use = engine_ == nullptr;
+  // A DMatch open builds no engine, so its first append runs one full
+  // Deduce over the grown data: it derives the new tuples' facts and seeds
+  // the dependency store, after which appends are |Δ|-proportional. It runs
+  // inside RunToFixpoint so this call's report covers it.
+  const bool seed_dependencies = engine_ == nullptr && open_dmatch_report_;
   EnsureEngine();
-  if (first_engine_use && open_dmatch_report_) {
-    Delta warmup;
-    engine_->Deduce(&warmup);
-    Delta rest;
-    engine_->IncDeduce(warmup, &rest);
-    stats_before_ = engine_->stats();
-  }
 
   out.gids.reserve(batch.size());
   for (auto& entry : batch.tuples) {
@@ -157,8 +151,13 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
   ctx_->GrowToDataset();
   for (Gid gid : out.gids) view_->Append(gid);
   engine_->NotifyAppend(out.gids);
-  out.report = RunToFixpoint(
-      [&](Delta* delta) { engine_->DeduceForNewTuples(out.gids, delta); });
+  out.report = RunToFixpoint([&](Delta* delta) {
+    if (seed_dependencies) {
+      engine_->Deduce(delta);
+    } else {
+      engine_->DeduceForNewTuples(out.gids, delta);
+    }
+  });
 
   Publish();
   out.snapshot_version = version_;

@@ -129,17 +129,18 @@ TEST(IncrementalTest, UpdateDrivenCostIsBelowRechaseCost) {
   EXPECT_LT(delta.report.chase.valuations, init.chase.valuations / 4);
 }
 
-// Per-call reports of a sequential resolver: the open is timed from its
-// Deduce on, ML counters are the registry's differences over the call, and
-// every chase counter is a difference against the previous call — so an
-// empty append reports all zeros even after an open that dropped
-// dependencies and built indices.
+// Per-call reports: the open is timed from its Deduce on, ML counters are
+// the registry's differences over the call, and every chase counter is a
+// difference against the previous call — so an empty append reports all
+// zeros even after an open that dropped dependencies and built indices. A
+// DMatch open builds its chase engine on the first append, and that
+// append's report covers the full Deduce it runs.
 TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
   EcommerceOptions options;
   options.num_customers = 150;
   auto gd = MakeEcommerce(options);
   const size_t cut = gd->dataset.num_tuples() - 10;
-  auto open = [&](size_t capacity) {
+  auto open = [&](size_t capacity, int workers = 0) {
     Dataset dst;
     for (size_t r = 0; r < gd->dataset.num_relations(); ++r) {
       dst.AddRelation(gd->dataset.relation(r).schema());
@@ -156,6 +157,7 @@ TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
     gd->registry.ClearCache();
     ResolverOptions ro;
     ro.dependency_capacity = capacity;
+    ro.num_workers = workers;
     return Resolver::Open(std::move(dst), std::move(rules), &gd->registry,
                           ro);
   };
@@ -177,6 +179,7 @@ TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
   auto resolver = open(size_t{1} << 20);
   const double open_wall = wall.ElapsedSeconds();
   const MatchReport& init = *resolver->match_report();
+  const uint64_t open_valuations = init.chase.valuations;
   EXPECT_GE(init.seconds, 0.5 * open_wall);
   EXPECT_GT(init.ml_predictions, 0u);
   EXPECT_EQ(init.ml_predictions, registry.num_predictions() - preds);
@@ -184,6 +187,7 @@ TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
   preds = registry.num_predictions();
   hits = registry.num_cache_hits();
   AppendOutcome grown = resolver->Append(held_back());
+  const auto grown_gamma = resolver->Snapshot();
   EXPECT_GT(grown.report.seconds, 0.0);
   EXPECT_EQ(grown.report.ml_predictions, registry.num_predictions() - preds);
   EXPECT_EQ(grown.report.ml_cache_hits, registry.num_cache_hits() - hits);
@@ -201,6 +205,15 @@ TEST(IncrementalTest, PerCallReportsCoverExactlyTheirCall) {
   EXPECT_EQ(got.str(), zero.str());
   EXPECT_EQ(empty.report.ml_predictions, 0u);
   EXPECT_EQ(empty.report.ml_cache_hits, 0u);
+
+  // The DMatch open's first append enumerates at least every valuation a
+  // sequential open of the same prefix does, and reaches the same Γ.
+  resolver = open(size_t{1} << 20, /*workers=*/4);
+  EXPECT_GE(resolver->Append(held_back()).report.chase.valuations,
+            open_valuations);
+  EXPECT_EQ(resolver->Snapshot()->MatchedPairs(), grown_gamma->MatchedPairs());
+  EXPECT_EQ(resolver->Snapshot()->ValidatedMlKeys(),
+            grown_gamma->ValidatedMlKeys());
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,36 @@ TEST(JsonWriterTest, NestedObjectsArraysAndEscaping) {
             "\"arr\":[1,2],\"o\":{\"x\":-3}}");
 }
 
+TEST(JsonReaderTest, RoundTripsWriterOutput) {
+  JsonWriter w;
+  w.BeginObject();
+  w.KV("s", "a\"b\\c\nd\x01");
+  w.KV("n", uint64_t{587210});
+  w.KV("f", 2.5e-05);
+  w.KV("neg", int64_t{-3});
+  w.KV("b", false);
+  w.Key("arr").BeginArray().Value(0.125).BeginObject().KV("x", true);
+  w.EndObject().EndArray();
+  w.Key("empty").BeginObject().EndObject();
+  w.EndObject();
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(w.str(), &doc, &error)) << error;
+  EXPECT_EQ(doc.Find("s")->text, "a\"b\\c\nd\x01");
+  EXPECT_EQ(doc.Find("n")->number, 587210);
+  EXPECT_EQ(doc.Find("f")->number, 2.5e-05);
+  EXPECT_EQ(doc.Find("arr")->items[1].Find("x")->boolean, true);
+  EXPECT_EQ(doc.Find("missing"), nullptr);
+  JsonWriter again;
+  again.Value(doc);
+  EXPECT_EQ(again.str(), w.str());
+
+  for (const char* bad : {"", "{", "{\"a\":}", "[1,]", "{\"a\":1} x",
+                          "\"\\q\"", "+1", "nul"}) {
+    EXPECT_FALSE(ParseJson(bad, &doc, &error)) << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Counters under concurrency: striped cells must never lose an increment.
 
